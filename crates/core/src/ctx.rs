@@ -7,10 +7,8 @@
 //! yield to the driver, which runs the protocol and the non-preemptive
 //! scheduler.
 
-use std::sync::Arc;
-
 use cvm_sim::coop::Yielder;
-use cvm_sim::sync::Mutex;
+use cvm_sim::sync::{Mutex, MutexGuard};
 use cvm_sim::{SimDuration, SimRng};
 
 use crate::node::NodeCell;
@@ -74,8 +72,9 @@ pub enum BlockReason {
 /// Per-thread cost constants copied out of the system configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CtxCosts {
-    /// Coherence page size.
-    pub page_size: usize,
+    /// log2 of the coherence page size (a power of two), so the page of
+    /// an address is one shift.
+    pub page_shift: u32,
     /// Base cost of one shared access, ns.
     pub access_base_ns: u64,
     /// SIGSEGV user-level handling cost, ns.
@@ -92,10 +91,15 @@ pub struct CtxCosts {
 ///
 /// Obtained inside the closure passed to
 /// [`CvmBuilder::run`](crate::CvmBuilder::run); see the crate-level example.
+///
+/// The node's cell is locked once per burst, not once per access: the
+/// first touch after a resume takes the guard and the next blocking call
+/// releases it before the baton goes back to the driver.
 #[derive(Debug)]
 pub struct ThreadCtx<'a> {
     yielder: &'a Yielder<BlockReason>,
-    cell: Arc<Mutex<NodeCell>>,
+    cell: &'a Mutex<NodeCell>,
+    guard: Option<MutexGuard<'a, NodeCell>>,
     costs: CtxCosts,
     global_id: usize,
     node: usize,
@@ -124,7 +128,7 @@ impl<'a> ThreadCtx<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         yielder: &'a Yielder<BlockReason>,
-        cell: Arc<Mutex<NodeCell>>,
+        cell: &'a Mutex<NodeCell>,
         costs: CtxCosts,
         global_id: usize,
         node: usize,
@@ -136,6 +140,7 @@ impl<'a> ThreadCtx<'a> {
         ThreadCtx {
             yielder,
             cell,
+            guard: None,
             costs,
             global_id,
             node,
@@ -202,23 +207,17 @@ impl<'a> ThreadCtx<'a> {
 
     /// Reads a shared value (application-facing sugar lives on
     /// [`SharedVec`](crate::SharedVec)).
+    #[inline]
     pub fn read_val<T: Shareable>(&mut self, addr: Addr) -> T {
-        let cell_arc = Arc::clone(&self.cell);
-        loop {
-            let mut cell = cell_arc.lock();
-            let page = addr.page(cell.page_size);
-            if cell.state[page.0].readable() {
-                self.charge_access(&mut cell, addr);
-                if cell.track_steps {
-                    cell.note_step_read(page.0);
-                }
-                let off = addr.0 as usize;
-                let v = T::from_bytes(&cell.mem[off..off + T::SIZE]);
-                return v;
-            }
-            drop(cell);
-            self.block(BlockReason::Fault { page, write: false });
+        let page = self.page_of(addr);
+        let cell = self.cell();
+        if cell.plain_access() && cell.state[page.0].readable() {
+            let off = addr.0 as usize;
+            let v = T::from_bytes(&cell.mem[off..off + T::SIZE]);
+            self.charge_base();
+            return v;
         }
+        self.read_slow(addr)
     }
 
     /// Writes a shared value.
@@ -229,15 +228,54 @@ impl<'a> ThreadCtx<'a> {
     /// thread other than global thread 0 (initialization is single-writer
     /// so that global data is uniform at startup, per the paper's
     /// programming model).
+    #[inline]
     pub fn write_val<T: Shareable>(&mut self, addr: Addr, v: T) {
         assert!(
             self.started || self.global_id == 0,
             "pre-startup writes must come from global thread 0"
         );
-        let cell_arc = Arc::clone(&self.cell);
+        let page = self.page_of(addr);
+        let cell = self.cell();
+        if cell.plain_access() && cell.state[page.0] == PageState::ReadWrite {
+            let off = addr.0 as usize;
+            cell.mem[off..off + T::SIZE].copy_from_slice(&v.to_bytes());
+            self.charge_base();
+            return;
+        }
+        self.write_slow(addr, v);
+    }
+
+    /// Every read the fast path declines: faults, the memory-system
+    /// simulator and step recording.
+    #[cold]
+    #[inline(never)]
+    fn read_slow<T: Shareable>(&mut self, addr: Addr) -> T {
+        let page = self.page_of(addr);
         loop {
-            let mut cell = cell_arc.lock();
-            let page = addr.page(cell.page_size);
+            let mut cell = self.take_guard();
+            if cell.state[page.0].readable() {
+                self.charge_access(&mut cell, addr);
+                if cell.track_steps {
+                    cell.note_step_read(page.0);
+                }
+                let off = addr.0 as usize;
+                let v = T::from_bytes(&cell.mem[off..off + T::SIZE]);
+                self.guard = Some(cell);
+                return v;
+            }
+            drop(cell);
+            self.block(BlockReason::Fault { page, write: false });
+        }
+    }
+
+    /// Every write the fast path declines: faults, the local
+    /// `ReadOnly` upgrade, the memory-system simulator and step recording.
+    #[cold]
+    #[inline(never)]
+    fn write_slow<T: Shareable>(&mut self, addr: Addr, v: T) {
+        let page = self.page_of(addr);
+        loop {
+            let mut cell = self.take_guard();
             match cell.state[page.0] {
                 PageState::ReadWrite => {
                     self.charge_access(&mut cell, addr);
@@ -246,6 +284,7 @@ impl<'a> ThreadCtx<'a> {
                     }
                     let off = addr.0 as usize;
                     cell.mem[off..off + T::SIZE].copy_from_slice(&v.to_bytes());
+                    self.guard = Some(cell);
                     return;
                 }
                 PageState::ReadOnly => {
@@ -256,6 +295,7 @@ impl<'a> ThreadCtx<'a> {
                     if fresh {
                         self.burst_ns += self.costs.twin_copy_ns;
                     }
+                    self.guard = Some(cell);
                     // Retry takes the ReadWrite arm.
                 }
                 PageState::Invalid | PageState::Unmapped => {
@@ -298,7 +338,7 @@ impl<'a> ThreadCtx<'a> {
         self.block(BlockReason::LocalBarrier {
             reduce: Some((op, value)),
         });
-        self.cell.lock().lb_result
+        self.cell().lb_result
     }
 
     /// Marks the end of single-threaded initialization. All threads must
@@ -320,7 +360,7 @@ impl<'a> ThreadCtx<'a> {
         self.block(BlockReason::GlobalReduce {
             reduce: (op, value),
         });
-        self.cell.lock().gr_result
+        self.cell().gr_result
     }
 
     /// Marks the end of the measured region. All threads must call it
@@ -347,7 +387,7 @@ impl<'a> ThreadCtx<'a> {
     /// mid-burst.
     pub fn now_ns(&mut self) -> u64 {
         self.block(BlockReason::Now);
-        self.cell.lock().now_ns
+        self.cell().now_ns
     }
 
     /// Sleeps until the absolute virtual time `ns` (no-op if already
@@ -362,29 +402,54 @@ impl<'a> ThreadCtx<'a> {
     /// histogram (serving workloads; see
     /// [`DsmHistograms::request_ns`](crate::DsmHistograms)).
     pub fn record_request(&mut self, latency_ns: u64) {
-        self.cell.lock().req_hist.record(latency_ns);
+        self.cell().req_hist.record(latency_ns);
     }
 
+    /// The node's cell under the burst's guard, taking the lock if this
+    /// is the first touch since the thread was resumed. Every cell access
+    /// in this file goes through here or [`take_guard`](Self::take_guard):
+    /// a second `lock()` while the guard is held would self-deadlock.
+    #[inline]
+    fn cell(&mut self) -> &mut NodeCell {
+        self.guard.get_or_insert_with(|| self.cell.lock())
+    }
+
+    /// Moves the burst's guard out (taking the lock if none is held) so
+    /// the slow path can borrow `self` alongside it; the caller puts it
+    /// back or drops it before blocking.
+    fn take_guard(&mut self) -> MutexGuard<'a, NodeCell> {
+        self.guard.take().unwrap_or_else(|| self.cell.lock())
+    }
+
+    #[inline]
+    fn page_of(&self, addr: Addr) -> PageId {
+        PageId((addr.0 >> self.costs.page_shift) as usize)
+    }
+
+    /// Ends the burst and passes the baton to the driver; the guard is
+    /// released first, so the driver never waits on this node's cell.
     fn block(&mut self, reason: BlockReason) {
-        {
-            let mut cell = self.cell.lock();
-            cell.burst_ns += self.burst_ns;
-        }
-        self.burst_ns = 0;
+        self.flush_burst();
         self.yielder.block(reason);
     }
 
-    /// Flushes any residual burst time; called by the runtime when the
-    /// thread body returns.
+    /// Hands the burst time to the cell and releases the guard; also
+    /// called by the runtime when the thread body returns.
     pub(crate) fn flush_burst(&mut self) {
-        let mut cell = self.cell.lock();
-        cell.burst_ns += self.burst_ns;
+        self.cell().burst_ns += self.burst_ns;
         self.burst_ns = 0;
+        self.guard = None;
+    }
+
+    /// The access cost every access pays, whichever path it takes.
+    #[inline]
+    fn charge_base(&mut self) {
+        self.burst_ns += self.costs.access_base_ns;
+        self.access_counter += 1;
     }
 
     fn charge_access(&mut self, cell: &mut NodeCell, addr: Addr) {
-        self.burst_ns += self.costs.access_base_ns;
-        self.access_counter += 1;
+        self.charge_base();
         if cell.memsim.is_none() {
             return;
         }

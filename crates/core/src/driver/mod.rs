@@ -468,7 +468,7 @@ impl Driver {
             ctl[mgr.tail].locks[l].cached = true;
         }
         let costs = CtxCosts {
-            page_size: cfg.page_size,
+            page_shift: cfg.page_size.trailing_zeros(),
             access_base_ns: cfg.access_base.as_ns(),
             signal_ns: cfg.signal.as_ns(),
             mprotect_ns: cfg.mprotect.as_ns(),
@@ -488,7 +488,7 @@ impl Driver {
                 let trng = rng.derive(gid as u64);
                 let coop_id = coop.spawn(move |y: &Yielder<BlockReason>| {
                     let mut ctx =
-                        ThreadCtx::new(y, cell, costs, gid, node, local, nodes, tpn, trng);
+                        ThreadCtx::new(y, &cell, costs, gid, node, local, nodes, tpn, trng);
                     app(&mut ctx);
                     ctx.flush_burst();
                 });

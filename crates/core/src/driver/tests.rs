@@ -189,3 +189,28 @@ fn all_protocols_complete_smoke_workload() {
         assert_eq!(report.stats.barriers_crossed, 1, "under {kind}");
     }
 }
+
+/// One burst reaches the node cell through every path in `ctx.rs` while
+/// the burst's guard is held: the std mutex is not reentrant, so a second
+/// `lock()` anywhere on the way would hang here instead of passing.
+#[test]
+fn every_cell_touch_in_one_burst_shares_the_guard() {
+    for (nodes, tpn) in [(1, 2), (2, 1)] {
+        let mut b = CvmBuilder::new(CvmConfig::small(nodes, tpn));
+        let v = b.alloc::<u64>(16);
+        let report = b.run(move |ctx| {
+            ctx.startup_done();
+            let me = ctx.global_id() as u64;
+            v.write(ctx, ctx.global_id(), me + 10);
+            assert_eq!(v.read(ctx, ctx.global_id()), me + 10);
+            ctx.record_request(1000 + me);
+            assert!(ctx.now_ns() > 0, "the write and read were charged");
+            let local = ctx.local_reduce(crate::barrier::ReduceOp::Sum, 1.0);
+            assert_eq!(local, tpn as f64, "one contribution per local thread");
+            let global = ctx.global_reduce(crate::barrier::ReduceOp::Sum, me as f64 + 1.0);
+            assert_eq!(global, 3.0, "1 + 2 from the two threads");
+        });
+        assert_eq!(report.hist.request_ns.count(), 2, "{nodes}x{tpn}");
+        assert_eq!(report.hist.request_ns.sum(), 2001, "{nodes}x{tpn}");
+    }
+}

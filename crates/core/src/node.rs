@@ -4,8 +4,15 @@
 //! [`NodeCell`] holds everything the instrumented access path needs on its
 //! fast path: the node's copy of the shared segment, the per-page
 //! protection states, twins, the dirty set and the (optional) memory-system
-//! simulator. It is wrapped in a mutex, but the baton discipline of
-//! [`cvm_sim::coop`] means the lock is never contended.
+//! simulator. It sits behind a mutex whose locking is burst-scoped: a
+//! running application thread takes the guard at its first cell touch
+//! after a resume and holds it until its next block (or until its body
+//! returns), releasing it before the baton passes back. The driver never
+//! locks a node's cell while that node's burst is in flight: in baton mode
+//! it waits for the burst, and a burst the parallel planner pre-started is
+//! on a node whose cell the driver leaves alone until it collects the
+//! burst. Were that ever violated the driver would wait for the burst to
+//! block, serializing rather than interleaving.
 
 use std::collections::BTreeSet;
 
@@ -96,6 +103,13 @@ impl NodeCell {
             step_reads: Vec::new(),
             step_writes: Vec::new(),
         }
+    }
+
+    /// True when a resident access costs only `access_base_ns`: no
+    /// memory-system simulator to charge and no step footprint to record.
+    #[inline]
+    pub fn plain_access(&self) -> bool {
+        self.memsim.is_none() && !self.track_steps
     }
 
     /// Number of pages.

@@ -121,6 +121,11 @@ impl<T: Shareable> SharedVec<T> {
     /// Panics if `i` is out of bounds.
     pub fn addr(&self, i: usize) -> Addr {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        self.addr_of(i)
+    }
+
+    /// Byte address of element `i`, for callers that checked `i` already.
+    fn addr_of(&self, i: usize) -> Addr {
         Addr(self.base + (i * T::SIZE) as u64)
     }
 
@@ -185,8 +190,7 @@ impl<T: Shareable> SharedMat<T> {
     ///
     /// Panics if out of bounds.
     pub fn read(&self, ctx: &mut ThreadCtx<'_>, r: usize, c: usize) -> T {
-        assert!(r < self.rows && c < self.cols, "({r},{c}) out of bounds");
-        self.vec.read(ctx, r * self.cols + c)
+        ctx.read_val(self.addr(r, c))
     }
 
     /// Writes `(r, c)`.
@@ -195,8 +199,14 @@ impl<T: Shareable> SharedMat<T> {
     ///
     /// Panics if out of bounds.
     pub fn write(&self, ctx: &mut ThreadCtx<'_>, r: usize, c: usize, v: T) {
+        ctx.write_val(self.addr(r, c), v);
+    }
+
+    /// Byte address of `(r, c)`: the one bounds check of an element
+    /// access (a column past the end must not alias the next row).
+    fn addr(&self, r: usize, c: usize) -> Addr {
         assert!(r < self.rows && c < self.cols, "({r},{c}) out of bounds");
-        self.vec.write(ctx, r * self.cols + c, v);
+        self.vec.addr_of(r * self.cols + c)
     }
 
     /// The flat view.
@@ -238,11 +248,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn mat_bounds_checked_per_dimension() {
+        let m: SharedMat<u64> = SharedMat::from_raw(0, 3, 5);
+        // Element 5 exists in the flat view; column 5 of row 0 does not.
+        let _ = m.addr(0, 5);
+    }
+
+    #[test]
     fn mat_is_row_major() {
         let m: SharedMat<u64> = SharedMat::from_raw(0, 3, 5);
         assert_eq!(m.as_vec().addr(0), Addr(0));
         // (1, 2) = element 7.
         assert_eq!(m.as_vec().addr(5 + 2), Addr(56));
+        assert_eq!(m.addr(1, 2), Addr(56));
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 5);
     }

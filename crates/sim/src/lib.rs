@@ -10,8 +10,7 @@
 //!   application threads as real OS threads while guaranteeing that exactly
 //!   one simulated thread executes at a time, preserving determinism and the
 //!   non-preemptive scheduling model of the paper.
-//! * [`stats`] — counters, accumulators and histograms shared by the higher
-//!   layers.
+//! * [`stats`] — counters and accumulators shared by the higher layers.
 //! * [`hist`] — log₂-bucketed latency/size histograms for the
 //!   observability layer.
 //! * [`json`] — a dependency-free, byte-stable JSON model used by report

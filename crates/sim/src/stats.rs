@@ -4,8 +4,8 @@
 //! (e.g. *Diffs Created*), running sums (e.g. *Outstanding Faults*, which
 //! accumulates the number of already-outstanding requests each time a new
 //! request is initiated), and time accumulators (e.g. non-overlapped lock
-//! wait). [`Counter`] and [`TimeAccum`] cover these; [`Histogram`] adds a
-//! distribution view used by diagnostics and tests.
+//! wait). [`Counter`] and [`TimeAccum`] cover these; distributions live
+//! in [`Log2Hist`](crate::Log2Hist).
 
 use std::fmt;
 
@@ -100,92 +100,6 @@ impl fmt::Display for TimeAccum {
     }
 }
 
-/// A small fixed-bucket histogram of non-negative integer samples.
-///
-/// Bucket `i < n-1` counts samples equal to `i`; the last bucket counts all
-/// larger samples. Used for distributions such as "how many requests were
-/// outstanding when a new one was issued".
-///
-/// # Example
-///
-/// ```
-/// use cvm_sim::stats::Histogram;
-/// let mut h = Histogram::new(4);
-/// h.record(0);
-/// h.record(1);
-/// h.record(9); // overflows into the last bucket
-/// assert_eq!(h.bucket(0), 1);
-/// assert_eq!(h.bucket(3), 1);
-/// assert_eq!(h.samples(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    samples: u64,
-    sum: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        Histogram {
-            buckets: vec![0; n],
-            samples: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.samples += 1;
-        self.sum += value;
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// True if the histogram has no buckets (never true for constructed
-    /// histograms).
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Total samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Sum of all sample values (the paper's "outstanding" totals are this
-    /// running sum).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "hist[{} samples, sum {}]", self.samples, self.sum)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,24 +121,5 @@ mod tests {
         t.add(SimDuration::from_us(4));
         t.add(SimDuration::from_us(8));
         assert_eq!(t.mean(), SimDuration::from_us(6));
-    }
-
-    #[test]
-    fn histogram_overflow_bucket() {
-        let mut h = Histogram::new(3);
-        h.record(0);
-        h.record(2);
-        h.record(5);
-        h.record(100);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 0);
-        assert_eq!(h.bucket(2), 3);
-        assert_eq!(h.sum(), 107);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn zero_bucket_histogram_panics() {
-        let _ = Histogram::new(0);
     }
 }
